@@ -108,8 +108,12 @@ class ResultCache:
 
     # -- keys ---------------------------------------------------------------
 
-    def key_for(self, spec: TaskSpec) -> str:
-        payload = spec.identity + "\n" + code_fingerprint(spec.fn)
+    def key_for(self, spec: TaskSpec, identity: Optional[str] = None) -> str:
+        """Cache key of ``spec``; ``identity`` is ``spec.identity`` when the
+        caller has already rendered it (it recurses through every kwarg)."""
+        if identity is None:
+            identity = spec.identity
+        payload = identity + "\n" + code_fingerprint(spec.fn)
         return hashlib.sha256(payload.encode()).hexdigest()
 
     def _path(self, key: str) -> pathlib.Path:

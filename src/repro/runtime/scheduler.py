@@ -118,10 +118,12 @@ def _call(spec: TaskSpec, audit_enabled: bool = False,
           trace_enabled: bool = False, token=None) -> tuple:
     """Worker entry point (module-level so it pickles).
 
-    Returns ``(value, audit_summary, profile_summary, metrics_summary,
-    trace_report)``; each is ``None`` unless the task ran under the
-    matching ``RuntimeConfig`` knob.  Capturing happens *here*, in
-    whichever process executes the task, so parallel workers
+    Returns ``(value, service_s, audit_summary, profile_summary,
+    metrics_summary, trace_report)``.  ``service_s`` is the time of
+    ``spec.call()`` alone — no queue wait, no capture set-up — and is what
+    the task's ``wall_s`` reports.  The summaries are ``None`` unless the
+    task ran under the matching ``RuntimeConfig`` knob.  Capturing happens
+    *here*, in whichever process executes the task, so parallel workers
     audit/profile/meter/trace their own simulations and ship plain-dict
     results back.
     """
@@ -135,7 +137,9 @@ def _call(spec: TaskSpec, audit_enabled: bool = False,
         selfchaos.kill_self()
     if not (audit_enabled or profile_enabled or metrics_enabled
             or trace_enabled):
-        return spec.call(), None, None, None, None
+        start = time.perf_counter()
+        value = spec.call()
+        return value, time.perf_counter() - start, None, None, None, None
     cap = session = ocap = tcol = None
     t0 = 0.0
     with contextlib.ExitStack() as stack:
@@ -152,12 +156,14 @@ def _call(spec: TaskSpec, audit_enabled: bool = False,
             from repro.obs import trace as obs_trace
             tcol = stack.enter_context(obs_trace.collect())
             t0 = time.monotonic()
+        start = time.perf_counter()
         value = spec.call()
+        service_s = time.perf_counter() - start
     trace_report = None
     if tcol is not None:
         trace_report = {"pid": os.getpid(), "t0": t0,
                         "t1": time.monotonic(), "trace": tcol.blob}
-    return (value,
+    return (value, service_s,
             cap.summary if cap is not None else None,
             session.report.as_dict() if session is not None else None,
             ocap.summary if ocap is not None else None,
@@ -241,11 +247,15 @@ def run_tasks(
 
     results: List[Optional[TaskResult]] = [None] * len(specs)
     keys: Dict[int, str] = {}
+    #: index -> ``spec.identity``, rendered once: it is both the key's
+    #: plaintext and the stored entry's ``task`` field.
+    identities: Dict[int, str] = {}
     pending: List[int] = []
     for i, spec in enumerate(specs):
         tel.task_queued(i, spec.label)
         if cache is not None:
-            keys[i] = cache.key_for(spec)
+            identities[i] = spec.identity
+            keys[i] = cache.key_for(spec, identities[i])
             hit, value = cache.get(keys[i])
             if hit:
                 results[i] = TaskResult(i, spec.label, value=value,
@@ -261,10 +271,10 @@ def run_tasks(
 
     if pending and config.parallel >= 2 and not shutdown.shutdown_requested():
         pending = _run_pool(specs, pending, results, config, tel, cache,
-                            keys, trace_on)
+                            keys, identities, trace_on)
     if pending:
         _run_serial(specs, pending, results, config, tel, cache, keys,
-                    trace_on)
+                    identities, trace_on)
 
     # A drain may leave tasks unexecuted (cancelled, deferred, or never
     # reached).  Every index still gets a real TaskResult so callers that
@@ -290,14 +300,16 @@ def _mark_interrupted(results, index: int, label: str, signame: str,
         jr.task(index, "interrupted", label, signal=signame)
 
 
-def _store(cache: Optional[ResultCache], keys: Dict[int, str], index: int,
-           spec: TaskSpec, value: Any, wall_s: float) -> None:
+def _store(cache: Optional[ResultCache], keys: Dict[int, str],
+           identities: Dict[int, str], index: int, value: Any,
+           wall_s: float) -> None:
     if cache is not None:
-        cache.put(keys[index], value, task=spec.identity, elapsed_s=wall_s)
+        cache.put(keys[index], value, task=identities[index],
+                  elapsed_s=wall_s)
 
 
 def _run_serial(specs, indices, results, config, tel, cache, keys,
-                trace_on: bool = False) -> None:
+                identities, trace_on: bool = False) -> None:
     jr = run_journal.current()
     for i in indices:
         spec = specs[i]
@@ -313,9 +325,10 @@ def _run_serial(specs, indices, results, config, tel, cache, keys,
                 jr.task(i, "running", spec.label, attempt=attempts)
             start = time.monotonic()
             try:
-                (value, audit_summary, profile_summary, metrics_summary,
-                 trace_report) = _call(spec, config.audit, config.profile,
-                                       config.metrics, trace_on)
+                (value, wall, audit_summary, profile_summary,
+                 metrics_summary, trace_report) = _call(
+                    spec, config.audit, config.profile, config.metrics,
+                    trace_on)
             except Exception as exc:
                 error = f"{type(exc).__name__}: {exc}"
                 if attempts <= config.retries \
@@ -334,7 +347,6 @@ def _run_serial(specs, indices, results, config, tel, cache, keys,
                     jr.task(i, "failed", spec.label, error=error,
                             attempts=attempts)
                 break
-            wall = time.monotonic() - start
             results[i] = TaskResult(i, spec.label, value=value,
                                     attempts=attempts, wall_s=wall,
                                     audit=audit_summary,
@@ -345,7 +357,7 @@ def _run_serial(specs, indices, results, config, tel, cache, keys,
             _bank_profile(spec.label, profile_summary)
             _bank_metrics(spec.label, metrics_summary)
             tel.task_trace(i, trace_report)
-            _store(cache, keys, i, spec, value, wall)
+            _store(cache, keys, identities, i, value, wall)
             tel.task_done(i, spec.label, wall)
             if jr is not None:
                 jr.task(i, "done", spec.label, key=keys.get(i),
@@ -380,8 +392,14 @@ def _kill_pool(pool) -> int:
 
 
 def _run_pool(specs, indices, results, config, tel, cache, keys,
-              trace_on: bool = False) -> List[int]:
-    """Run ``indices`` on a process pool; returns indices left for serial."""
+              identities, trace_on: bool = False) -> List[int]:
+    """Run ``indices`` on a process pool; returns indices left for serial.
+
+    A completed task's ``wall_s`` is its service time as measured by the
+    worker, so time queued behind other tasks is not charged to it.
+    Timeouts and failures stay on the submission clock: a task that never
+    returned has no service time to report.
+    """
     try:
         started_q = multiprocessing.SimpleQueue()
         pool = futures.ProcessPoolExecutor(max_workers=config.parallel,
@@ -586,7 +604,7 @@ def _run_pool(specs, indices, results, config, tel, cache, keys,
                     continue
                 i, t_submit = inflight.pop(fut)
                 try:
-                    (value, audit_summary, profile_summary,
+                    (value, wall, audit_summary, profile_summary,
                      metrics_summary, trace_report) = fut.result()
                 except BrokenProcessPool as exc:
                     tel.degraded(f"worker pool broke: {exc}")
@@ -607,7 +625,6 @@ def _run_pool(specs, indices, results, config, tel, cache, keys,
                     else:
                         record_failure(i, error, wall_s=now - t_submit)
                     continue
-                wall = now - t_submit
                 results[i] = TaskResult(i, specs[i].label, value=value,
                                         attempts=attempts[i], wall_s=wall,
                                         audit=audit_summary,
@@ -618,7 +635,7 @@ def _run_pool(specs, indices, results, config, tel, cache, keys,
                 _bank_profile(specs[i].label, profile_summary)
                 _bank_metrics(specs[i].label, metrics_summary)
                 tel.task_trace(i, trace_report)
-                _store(cache, keys, i, specs[i], value, wall)
+                _store(cache, keys, identities, i, value, wall)
                 tel.task_done(i, specs[i].label, wall)
                 if jr is not None:
                     jr.task(i, "done", specs[i].label, key=keys.get(i),

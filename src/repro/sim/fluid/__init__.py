@@ -2,9 +2,10 @@
 
 No per-packet events: flows are rates, links are capacities with a queue
 integrator, and the network state advances one RTT per step.  A fluid run
-costs ``O(steps × (flows + links))`` — thousands of arithmetic updates
-instead of millions of scheduler events — which buys the 10×+ speedups
-ROADMAP item 2 asks for on trend-mode sweeps.
+costs ``O(steps × (flows + links))`` plus one water-filling per change of
+the active set — thousands of arithmetic updates instead of millions of
+scheduler events — which buys the 10×+ speedups ROADMAP item 2 asks for
+on trend-mode sweeps.
 
 The model is deliberately small: max-min fair-share targets (water-filling
 over the flow/link incidence), first-order per-protocol convergence gains,

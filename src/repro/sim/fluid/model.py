@@ -6,7 +6,9 @@ bytes — advanced in fixed RTT-sized steps:
 1. **Targets**: max-min fair shares over the flow/link incidence
    (water-filling), against each link's *achievable* capacity
    (``capacity × Dynamics.utilization`` — credit overhead for ExpressPass,
-   ECN headroom for DCTCP/HULL, and so on).
+   ECN headroom for DCTCP/HULL, and so on).  Computed once per change of
+   the active set — when a step crosses a flow's ``start_ps`` — and
+   reused by every step in between.
 2. **Relaxation**: each flow moves a ``gain_per_rtt`` fraction of the way
    from its current rate to its target — the first-order stand-in for the
    protocol's control loop (feedback aggregation, AIMD, rate updates).
@@ -25,6 +27,7 @@ on for packet cells).
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -106,7 +109,12 @@ class FluidFlow:
 
 
 class FluidNetwork:
-    """Flows over links, advanced one RTT per :meth:`step`."""
+    """Flows over links, advanced one RTT per :meth:`step`.
+
+    Routes, start times, capacities and dynamics are read once: changing
+    them after construction does not retarget the flows.  Rates may be
+    set between steps (a pre-converged flow, say).
+    """
 
     def __init__(self, links: Sequence[FluidLink], flows: Sequence[FluidFlow],
                  dynamics: Dynamics, rtt_ps: int):
@@ -117,6 +125,12 @@ class FluidNetwork:
         self.dynamics = dynamics
         self.rtt_ps = rtt_ps
         self.now_ps = 0
+        #: Distinct start times, sorted once; ``_next_start`` indexes the
+        #: first one no step has crossed yet.
+        self._starts = sorted({f.start_ps for f in self.flows})
+        self._next_start = 0
+        #: ``(flow, target)`` per active flow, in flow-index order.
+        self._plan: List[Tuple[FluidFlow, float]] = []
 
     # -- fair-share targets ------------------------------------------------
     def _weights(self, active: List[int],
@@ -147,8 +161,8 @@ class FluidNetwork:
         Classic progressive filling over achievable capacities: repeatedly
         saturate the tightest link, freeze its flows at their weighted
         split of its remaining capacity, remove it, repeat.  O(links ×
-        flows) per call — negligible next to the packet backend it
-        replaces.
+        flows) per call; :meth:`step` calls it only when the active set
+        changes (once per run when every flow starts at time zero).
         """
         util = self.dynamics.utilization
         remaining = [link.capacity_bps * util for link in self.links]
@@ -187,50 +201,72 @@ class FluidNetwork:
         return [share[idx] for idx in active]
 
     # -- evolution ---------------------------------------------------------
+    def _retarget(self) -> None:
+        """Refill the water for the active set as of ``now_ps``.
+
+        Called only when ``now_ps`` crosses the next pending start time:
+        between activations the targets' inputs (active set, routes,
+        capacities, dynamics) are fixed, so the shares are too.
+        """
+        now = self.now_ps
+        self._next_start = bisect.bisect_right(self._starts, now)
+        active = [i for i, f in enumerate(self.flows) if f.start_ps <= now]
+        self._plan = list(zip([self.flows[i] for i in active],
+                              self.max_min_shares(active)))
+
     def step(self) -> None:
-        """Advance one RTT: retarget, relax, deliver, integrate queues."""
+        """Advance one RTT: relax toward the targets, deliver, integrate
+        queues.
+
+        One pass over active flows (rate, link inflow, delivered bytes),
+        then one pass over links.  The order of every float operation is
+        part of the output: ``tests/golden/fluid_rows.json`` pins the bytes.
+        """
+        if self._next_start < len(self._starts) \
+                and self._starts[self._next_start] <= self.now_ps:
+            self._retarget()
         dt_s = self.rtt_ps * 1e-12
         dyn = self.dynamics
-        active = [i for i, f in enumerate(self.flows)
-                  if f.start_ps <= self.now_ps]
-        if active:
-            targets = self.max_min_shares(active)
-            gain = min(1.0, dyn.gain_per_rtt)
-            for idx, target in zip(active, targets):
-                flow = self.flows[idx]
-                if flow.rate_bps == 0.0:
-                    flow.rate_bps = dyn.start_fraction * target
-                flow.rate_bps += gain * (target - flow.rate_bps)
+        gain = min(1.0, dyn.gain_per_rtt)
+        start_fraction = dyn.start_fraction
 
-        # Per-link arrivals; credit throttling caps admission at capacity.
+        # Relax and deliver; per-link arrivals sum in flow-index order.
         inflow = [0.0] * len(self.links)
-        for idx in active:
-            flow = self.flows[idx]
+        for flow, target in self._plan:
+            rate = flow.rate_bps
+            if rate == 0.0:
+                rate = start_fraction * target
+            rate += gain * (target - rate)
+            flow.rate_bps = rate
             for l in flow.route:
-                inflow[l] += flow.rate_bps
-        for l, link in enumerate(self.links):
+                inflow[l] += rate
+            flow.delivered_bytes += rate * dt_s / 8
+
+        # Credit throttling caps admission at capacity.
+        throttled = dyn.credit_throttled
+        standing_bytes = dyn.queue_bytes
+        for link, flow_in in zip(self.links, inflow):
             cap = link.capacity_bps
-            arriving = min(inflow[l], cap) if dyn.credit_throttled \
-                else inflow[l]
+            arriving = min(flow_in, cap) if throttled else flow_in
             link.queue_bytes = max(
                 0.0, link.queue_bytes + (arriving - cap) * dt_s / 8)
             # A saturated link carries the protocol's standing queue on top
             # of any transient backlog (sub-RTT burstiness the rate model
             # integrates away).
-            standing = dyn.queue_bytes if inflow[l] >= 0.5 * cap else 0.0
+            standing = standing_bytes if flow_in >= 0.5 * cap else 0.0
             link.max_queue_bytes = max(link.max_queue_bytes,
                                        link.queue_bytes + standing)
-
-        for idx in active:
-            flow = self.flows[idx]
-            flow.delivered_bytes += flow.rate_bps * dt_s / 8
         self.now_ps += self.rtt_ps
 
     def run(self, until_ps: int,
             sample_every_ps: Optional[int] = None,
             samples: Optional[List[float]] = None) -> None:
         """Step to ``until_ps``; optionally record total delivered bytes
-        every ``sample_every_ps`` (bin edges, like the packet sampler)."""
+        every ``sample_every_ps`` (bin edges, like the packet sampler)
+        into ``samples``, which must then be given."""
+        if sample_every_ps and samples is None:
+            raise ValueError("sample_every_ps needs a samples list to "
+                             "append to")
         next_sample = self.now_ps if sample_every_ps else None
         while self.now_ps < until_ps:
             if next_sample is not None and self.now_ps >= next_sample:

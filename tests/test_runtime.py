@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+import pickle
 
 import pytest
 
@@ -354,6 +355,47 @@ class TestScheduler:
         assert "boom after sleeping" in results[0].error
         # The pool path must record submission-to-failure wall time, not 0.
         assert results[0].wall_s >= 0.15
+
+    def test_pool_wall_s_is_service_time_not_queue_wait(self, tmp_path):
+        # Six 0.2 s tasks on two workers: the last pair waits ~0.4 s in the
+        # queue.  Each row reports its own service time, so the rows sum
+        # to what two workers can actually do in the run's wall time.
+        import time
+        delay = 0.2
+        tasks = [TaskSpec(slow_ok, {"delay_s": delay, "tag": i},
+                          label=f"s{i}") for i in range(6)]
+        log = tmp_path / "events.jsonl"
+        with runtime.using(parallel=2, cache_dir=tmp_path / "cache",
+                           telemetry_path=log):
+            t0 = time.monotonic()
+            results = run_tasks(tasks)
+            run_wall = time.monotonic() - t0
+        assert all(r.ok for r in results)
+        for r in results:
+            assert delay <= r.wall_s < delay + 0.15, (r.label, r.wall_s)
+        assert sum(r.wall_s for r in results) <= 2 * run_wall + 0.1
+        # Telemetry and the cache's elapsed_s carry the same service time.
+        done = {e["index"]: e["wall_s"]
+                for e in map(json.loads, log.read_text().splitlines())
+                if e["event"] == "task_done"}
+        assert done == {r.index: round(r.wall_s, 6) for r in results}
+        cache = ResultCache(tmp_path / "cache")
+        for spec, r in zip(tasks, results):
+            entry = pickle.loads(
+                (tmp_path / "cache" / f"{cache.key_for(spec)}.pkl")
+                .read_bytes())
+            assert entry["elapsed_s"] == r.wall_s
+
+    def test_cached_entry_task_is_spec_identity(self, tmp_path):
+        specs = [TaskSpec(cube, {"x": i, "seed": 3}) for i in range(3)]
+        with runtime.using(parallel=0, cache_dir=tmp_path):
+            run_tasks(specs)
+        cache = ResultCache(tmp_path)
+        for spec in specs:
+            key = cache.key_for(spec)
+            assert key == cache.key_for(spec, spec.identity)
+            entry = pickle.loads((tmp_path / f"{key}.pkl").read_bytes())
+            assert entry["task"] == spec.identity
 
     def test_unpicklable_task_degrades_to_serial(self):
         with runtime.using(parallel=2, cache_enabled=False):
