@@ -10,50 +10,43 @@ shows where events go.
 Every optimisation is **behaviour-preserving**: golden traces and
 ``events_processed`` are bit-identical with the features on or off
 (``tests/test_perf.py`` asserts this).  The knobs exist so the determinism
-tests can run both configurations and so a debugging session can rule the
-fast paths out with one environment variable.
+tests can run both configurations: they are plain module globals, which a
+test (or a debugging session) flips with ``monkeypatch.setattr``.
 
-Knobs (module globals, seeded from the environment at import):
+Knobs:
 
 ``COMPACT_MIN`` / ``COMPACT_RATIO``
     Lazy-deletion compaction: the scheduler rebuilds its heap in place once
     at least ``COMPACT_MIN`` cancelled entries have accumulated *and*
     cancelled entries outnumber live ones ``COMPACT_RATIO``-fold.  Bounds
     the heap at ~``(1 + COMPACT_RATIO) x live`` entries no matter how many
-    timers are cancelled.  ``REPRO_NO_COMPACT=1`` disables.
+    timers are cancelled.  ``COMPACT_MIN = 0`` disables.
 
 ``FREELIST_MAX``
     Events scheduled through :meth:`Simulator.schedule_unref` (fire-and-
     forget, no handle returned — transmit completions and wire deliveries)
     are recycled through a per-simulator freelist instead of being
     reallocated.  Only handle-less events are pooled, so a stale reference
-    can never cancel a recycled event.  ``REPRO_NO_FREELIST=1`` disables.
+    can never cancel a recycled event.  ``FREELIST_MAX = 0`` disables.
 
 ``FASTPATH_ENABLED``
     Ports precompute a flags word over their optional attachments
     (``phantom``/``rcp_controller``/``pfc``/hooks/...) and take a branch-
-    free transmit path while the word is zero.  ``REPRO_NO_FASTPATH=1``
-    forces the fully-checked path for every port created afterwards.
+    free transmit path while the word is zero.  ``False`` forces the
+    fully-checked path for every port created afterwards.
 """
 
 from __future__ import annotations
 
-import os
-
-
-def _env_flag(name: str) -> bool:
-    return os.environ.get(name, "") in ("1", "true")
-
-
 #: Minimum cancelled-entry count before heap compaction is considered
 #: (0 disables compaction entirely).
-COMPACT_MIN: int = 0 if _env_flag("REPRO_NO_COMPACT") else 256
+COMPACT_MIN: int = 256
 #: Compact when cancelled entries exceed live entries by this factor.
 COMPACT_RATIO: int = 1
 #: Cap on recycled Event objects per simulator (0 disables the freelist).
-FREELIST_MAX: int = 0 if _env_flag("REPRO_NO_FREELIST") else 1024
+FREELIST_MAX: int = 1024
 #: Ports take the flags-word fast path when True (checked at Port creation).
-FASTPATH_ENABLED: bool = not _env_flag("REPRO_NO_FASTPATH")
+FASTPATH_ENABLED: bool = True
 
 __all__ = [
     "COMPACT_MIN", "COMPACT_RATIO", "FREELIST_MAX", "FASTPATH_ENABLED",

@@ -84,6 +84,20 @@ class TestRunControl:
         sim.run(until=500)
         assert sim.now == 500
 
+    def test_until_in_the_past_rejected(self, sim):
+        fired = []
+        sim.schedule(100, fired.append, 1)
+        sim.schedule(200, fired.append, 2)
+        sim.run(until=150)
+        with pytest.raises(ValueError):
+            sim.run(until=50)
+        assert sim.now == 150           # the clock never runs backwards
+        sim.run(until=150)              # ``until == now`` is still fine
+        sim.schedule(0, fired.append, 3)
+        sim.run()
+        assert fired == [1, 3, 2]
+        assert sim.now == 200
+
     def test_max_events(self, sim):
         for i in range(10):
             sim.schedule(i + 1, lambda: None)

@@ -3,12 +3,17 @@
 Determinism is the substrate's core contract, so each hot-path feature —
 heap compaction, the Event freelist, the port fast path, the profiler —
 is run against the golden-trace scenarios with the feature on and off,
-asserting bit-identical payloads and event counts.  Plus regression tests
-for the structural properties the features provide (bounded heap growth,
-event recycling, O(1) pending).
+asserting bit-identical payloads and event counts.  A hypothesis-driven
+differential oracle does the same for the event core alone, on randomized
+dynamic schedule/cancel programs.  Plus regression tests for the structural
+properties the features provide (bounded heap growth, event recycling, O(1)
+pending).
 """
 
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import perf
 from repro.perf import profile
@@ -23,20 +28,10 @@ def _events_processed(name: str) -> int:
     return sim.events_processed
 
 
-@pytest.fixture
-def defaults(monkeypatch):
-    """Pin the perf knobs to their shipped defaults (env-independent)."""
-    monkeypatch.setattr(perf, "COMPACT_MIN", 256)
-    monkeypatch.setattr(perf, "COMPACT_RATIO", 1)
-    monkeypatch.setattr(perf, "FREELIST_MAX", 1024)
-    monkeypatch.setattr(perf, "FASTPATH_ENABLED", True)
-
-
 # --- determinism: features on == features off --------------------------------
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_disabling_all_optimisations_is_bit_identical(
-        name, defaults, monkeypatch):
+def test_disabling_all_optimisations_is_bit_identical(name, monkeypatch):
     fast = build_payload(name)
     fast_events = _events_processed(name)
     monkeypatch.setattr(perf, "COMPACT_MIN", 0)
@@ -53,14 +48,14 @@ def test_disabling_all_optimisations_is_bit_identical(
     ("FREELIST_MAX", 0),    # no event recycling
     ("FASTPATH_ENABLED", False),
 ])
-def test_each_knob_alone_is_bit_identical(knob, defaults, monkeypatch):
+def test_each_knob_alone_is_bit_identical(knob, monkeypatch):
     name = "dumbbell_expresspass"
     reference = build_payload(name)
     monkeypatch.setattr(perf, *knob)
     assert build_payload(name) == reference
 
 
-def test_profiler_does_not_perturb_simulation(defaults):
+def test_profiler_does_not_perturb_simulation():
     name = "star_cross_expresspass"
     reference = build_payload(name)
     ref_events = _events_processed(name)
@@ -77,9 +72,112 @@ def test_profiler_does_not_perturb_simulation(defaults):
         == report.events
 
 
+# --- differential oracle: engine knobs on vs off ------------------------------
+
+#: Engine knob settings that must all fire the identical event sequence.
+@st.composite
+def programs(draw):
+    """A deterministic dynamic schedule/cancel program.
+
+    ``init`` seeds the queue; ``spawn[k]`` dictates what the k-th fired
+    callback does: how many children to schedule, at what base delay, via
+    which scheduling API, and whether to cancel the oldest live handle.
+    Small delay scales make same-timestamp ties common.
+    """
+    scale = draw(st.sampled_from([1, 3, 1000]))
+    init = draw(st.lists(st.integers(0, 40), min_size=1, max_size=12))
+    spawn = draw(st.lists(
+        st.tuples(st.integers(0, 3),        # children per firing
+                  st.integers(0, 50),       # child delay base
+                  st.booleans()),           # cancel the oldest handle?
+        max_size=120))
+    return scale, init, spawn
+
+
+def _run_program(program, max_events=400):
+    """Run ``program`` on a fresh simulator; the fired ``(now, tag)`` list."""
+    scale, init, spawn = program
+    sim = Simulator(seed=0)
+    fired = []
+    handles = []
+    counter = itertools.count()
+
+    def fire(tag):
+        fired.append((sim.now, tag))
+        k = next(counter)
+        if k < len(spawn):
+            n_children, base, do_cancel = spawn[k]
+            for j in range(n_children):
+                delay = (base * (j + 1)) % (60 * scale)
+                mode = (k + j) % 3
+                if mode == 0:
+                    handles.append(sim.schedule(delay, fire, f"{tag}.{j}"))
+                elif mode == 1:
+                    sim.schedule_unref(delay, fire, f"{tag}.u{j}")
+                else:
+                    handles.append(
+                        sim.schedule_at(sim.now + delay, fire, f"{tag}.a{j}"))
+            if do_cancel and handles:
+                handles.pop(0).cancel()
+
+    for i, d in enumerate(init):
+        handles.append(sim.schedule(d * scale, fire, f"i{i}"))
+    sim.run(max_events=max_events)
+    return fired
+
+
+def _run_program_with(program, **knobs):
+    """``_run_program`` with the ``repro.perf`` globals in ``knobs`` set.
+
+    ``pytest.MonkeyPatch.context()`` instead of the fixture: hypothesis
+    rejects function-scoped fixtures in ``@given`` tests.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        for knob, value in knobs.items():
+            mp.setattr(perf, knob, value)
+        return _run_program(program)
+
+
+@given(programs())
+@settings(max_examples=40, deadline=None, database=None)
+def test_dynamic_programs_fire_identically(program):
+    """Callbacks scheduling more work and deferred cancels: the defaults
+    and every optimisation off fire the same ``(now, tag)`` list."""
+    assert _run_program(program) == \
+        _run_program_with(program, COMPACT_MIN=0, FREELIST_MAX=0)
+
+
+@given(programs())
+@settings(max_examples=25, deadline=None, database=None)
+def test_dynamic_programs_fire_identically_under_compaction(program):
+    """Same oracle with compaction forced aggressively mid-run."""
+    assert _run_program(program) == \
+        _run_program_with(program, COMPACT_MIN=2)
+
+
+def test_same_timestamp_fifo_survives_compaction(monkeypatch):
+    """Events tied on the timestamp fire in schedule order even when a
+    compaction rebuilds the heap while they are pending."""
+    monkeypatch.setattr(perf, "COMPACT_MIN", 2)
+    sim = Simulator(seed=0)
+    fired = []
+    tied_at = 5_000_000
+    for i in range(8):
+        sim.schedule_at(tied_at, fired.append, i)
+    # Cancelling more entries than remain live trips the compaction
+    # threshold while the tied batch is still pending.
+    decoys = [sim.schedule_at(tied_at + 1, fired.append, 100 + i)
+              for i in range(10)]
+    for h in decoys:
+        h.cancel()
+    assert sim._cancelled < 10      # a compaction really reaped entries
+    sim.run()
+    assert fired == list(range(8))
+
+
 # --- heap growth under cancellation ------------------------------------------
 
-def test_cancel_storm_keeps_heap_bounded(defaults):
+def test_cancel_storm_keeps_heap_bounded():
     """10^5 schedule+cancel cycles must not grow the heap past the ratio."""
     sim = Simulator(seed=0)
     anchor = sim.schedule(10**9, lambda: None)  # one live event throughout
@@ -107,7 +205,7 @@ def test_no_compaction_when_disabled(monkeypatch):
     assert len(sim._heap) == 0
 
 
-def test_compaction_preserves_pop_order(defaults, monkeypatch):
+def test_compaction_preserves_pop_order(monkeypatch):
     monkeypatch.setattr(perf, "COMPACT_MIN", 8)
     sim = Simulator(seed=0)
     fired = []
@@ -124,7 +222,7 @@ def test_compaction_preserves_pop_order(defaults, monkeypatch):
 
 # --- event freelist -----------------------------------------------------------
 
-def test_unref_events_are_recycled(defaults):
+def test_unref_events_are_recycled():
     sim = Simulator(seed=0)
     for _ in range(100):
         sim.schedule_unref(100, lambda: None)
@@ -136,7 +234,7 @@ def test_unref_events_are_recycled(defaults):
     sim.run()
 
 
-def test_handle_events_are_never_recycled(defaults):
+def test_handle_events_are_never_recycled():
     sim = Simulator(seed=0)
     events = [sim.schedule(100, lambda: None) for _ in range(50)]
     sim.run()
@@ -147,7 +245,7 @@ def test_handle_events_are_never_recycled(defaults):
     assert sim.pending() == 0
 
 
-def test_freelist_respects_cap(defaults, monkeypatch):
+def test_freelist_respects_cap(monkeypatch):
     monkeypatch.setattr(perf, "FREELIST_MAX", 16)
     sim = Simulator(seed=0)
     for _ in range(100):
